@@ -124,21 +124,31 @@ class TlbBalancer(LoadBalancer):
     # -- the data path -------------------------------------------------------
 
     def select_port(self, pkt: "Packet", ports: Sequence["Port"]) -> "Port":
+        # Runs for every packet on a multi-path hop, so the packet's
+        # helpers (lb_key, starts_flow, ends_flow) and the counters'
+        # note_entries are spelled out inline.
         c = self.counters
         c.decisions += 1
         now = self.switch.sim.now
-        key = pkt.lb_key()
+        is_ack = pkt.is_ack
+        key = (pkt.flow_id, is_ack)
+        deadline = pkt.deadline
+        table = self.table
 
         c.state_reads += 1
-        entry = self.table.observe(key, pkt.size, now, deadline=pkt.deadline)
+        entry = table.observe(key, pkt.size, now, deadline)
         c.state_writes += 1
-        c.note_entries(len(self.table))
+        # Every tracked flow is counted as short or long: the sum is len(table).
+        entries = table.n_short + table.n_long
+        if entries > c.peak_entries:
+            c.peak_entries = entries
         if (
-            pkt.starts_flow
-            and pkt.deadline is not None
+            deadline is not None
+            and pkt.syn
+            and not is_ack
             and self.config.use_deadline_info
         ):
-            self.deadline_stats.observe(pkt.deadline)
+            self.deadline_stats.observe(deadline)
 
         n = len(ports)
         if entry.is_long:
@@ -169,8 +179,8 @@ class TlbBalancer(LoadBalancer):
             idx = self._short_pick(entry, ports, c)
         entry.port_idx = idx
 
-        if pkt.ends_flow:
-            self.table.remove(key)
+        if pkt.fin and not is_ack:
+            table.remove(key)
         return ports[idx]
 
     def _short_pick(self, entry, ports, c) -> int:

@@ -63,10 +63,14 @@ def shortest_queue_index(ports: Sequence["Port"]) -> int:
     candidate sets are in fixed spine order — stable across schemes,
     keeping comparisons paired.
     """
+    # Called per packet with every candidate: read the rate slot rather
+    # than the validating ``Port.rate`` property.
     best = 0
-    best_key = ports[0].queue_bytes / ports[0].rate
+    first = ports[0]
+    best_key = first.queue_bytes / first._rate
     for i in range(1, len(ports)):
-        key = ports[i].queue_bytes / ports[i].rate
+        port = ports[i]
+        key = port.queue_bytes / port._rate
         if key < best_key:
             best = i
             best_key = key
@@ -180,7 +184,9 @@ class LoadBalancer(PathStateObserver):
         flows remap deterministically — the behaviour of hashing into a
         reduced ECMP group on real hardware.
         """
-        return self.select_port(pkt, self.usable_ports(ports))
+        if self.down_ports:
+            ports = self.usable_ports(ports)
+        return self.select_port(pkt, ports)
 
     def select_port(self, pkt: "Packet", ports: Sequence["Port"]) -> "Port":
         """Pick the output port for ``pkt`` among equal-cost candidates."""

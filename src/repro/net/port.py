@@ -17,16 +17,21 @@ does not.
 
 Hot path
 --------
-``enqueue`` and the two transmission callbacks run once per packet per
-hop, which makes them the busiest Python frames of any full-fabric run.
-They avoid re-reading slots in loops, cache the serialisation delay per
-packet size (invalidated when ``rate`` changes), collapse the per-record
+``enqueue`` and ``_transmission_done`` run once per packet per hop,
+which makes them the busiest Python frames of any full-fabric run.  Each
+starts serialisation itself rather than through a helper frame: a
+packet that reaches an idle link goes straight onto the wire without
+passing through the FIFO, and a completion pops and starts the next
+queued packet in the same frame.  They read the clock and the link
+parameters from plain slots, cache the serialisation delay per packet
+size (invalidated when ``rate`` changes), collapse the per-record
 ``tracer.enabled`` checks into one cached boolean (kept in sync by the
 ``tracer`` property — the shared :class:`~repro.sim.trace.NullTracer`
 costs a single slot read per call), and schedule completion/delivery
 through :meth:`~repro.sim.engine.Simulator.call_later_fast`, which
 allocates no :class:`~repro.sim.engine.Event` (these events are never
-cancelled).
+cancelled).  ``rate`` and ``delay`` are validated properties, so the
+slots the hot path reads can only hold values a link may have.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ class Port:
         "sim",
         "name",
         "_rate",
-        "delay",
+        "_delay",
         "dst",
         "buffer_packets",
         "ecn_threshold",
@@ -166,10 +171,6 @@ class Port:
         loss_rate: float = 0.0,
         loss_rng=None,
     ):
-        if rate <= 0:
-            raise ConfigError(f"port {name}: rate must be positive, got {rate!r}")
-        if delay < 0:
-            raise ConfigError(f"port {name}: delay must be non-negative, got {delay!r}")
         if buffer_packets < 1:
             raise ConfigError(f"port {name}: buffer must hold >=1 packet")
         if ecn_threshold is not None and ecn_threshold < 1:
@@ -177,8 +178,8 @@ class Port:
         self.sim = sim
         self.name = name
         self._ser_cache: dict[int, float] = {}
-        self._rate = float(rate)
-        self.delay = float(delay)
+        self.rate = rate
+        self.delay = delay
         self.dst = dst
         self.buffer_packets = int(buffer_packets)
         self.ecn_threshold = ecn_threshold
@@ -209,6 +210,19 @@ class Port:
             raise ConfigError(f"port {self.name}: rate must be positive, got {rate!r}")
         self._rate = float(rate)
         self._ser_cache.clear()
+
+    @property
+    def delay(self) -> float:
+        """One-way propagation delay in seconds.  Assigning validates, so
+        a negative delay fails here rather than at the first delivery."""
+        return self._delay
+
+    @delay.setter
+    def delay(self, delay: float) -> None:
+        if not delay >= 0:
+            raise ConfigError(
+                f"port {self.name}: delay must be non-negative, got {delay!r}")
+        self._delay = float(delay)
 
     @property
     def tracer(self) -> Tracer:
@@ -331,8 +345,11 @@ class Port:
         if self._admin_up:
             return
         self._admin_up = True
-        if self._queue and not self._busy:
-            self._start_transmission()
+        queue = self._queue
+        if queue and not self._busy:
+            pkt = queue.popleft()
+            self.queue_bytes -= pkt.size
+            self._start_transmission(pkt)
 
     # -- queue state (the congestion signals LB schemes read) ------------
 
@@ -438,41 +455,60 @@ class Port:
                     self.sim.now, "mark", port=self.name, flow=pkt.flow_id,
                     seq=pkt.seq, qlen=qlen,
                 )
-        pkt.enqueued_at = self.sim.now
+        now = self.sim.now
+        pkt.enqueued_at = now
         stats.enqueued += 1
         size = pkt.size
         stats.bytes_enqueued += size
-        self.queue_bytes += size
         if trace:
             # ``head`` names the flow whose packet currently holds the
             # transmitter: the flow this packet is queued *behind*.  The
             # span forensics layer aggregates waits by head flow to say
             # "spent 2.1 ms queued behind long flow 317".
             self._tracer.emit(
-                self.sim.now, "enqueue", port=self.name, flow=pkt.flow_id,
+                now, "enqueue", port=self.name, flow=pkt.flow_id,
                 seq=pkt.seq, qlen=qlen, is_ack=pkt.is_ack, head=self._tx_flow,
             )
-        queue.append(pkt)
-        if not self._busy and self._admin_up:
-            self._start_transmission()
+        if self._busy or not self._admin_up:
+            queue.append(pkt)
+            self.queue_bytes += size
+            return True
+        # An idle, up link has an empty FIFO: the packet goes straight
+        # onto the wire (what _start_transmission does, without a frame).
+        self._busy = True
+        self._tx_start = now
+        self._tx_flow = pkt.flow_id
+        tx = self._ser_cache.get(size)
+        if tx is None:
+            tx = self._ser_cache[size] = (size * BITS_PER_BYTE) / self._rate
+        if trace:
+            self._tracer.emit(
+                now, "dequeue", port=self.name, flow=pkt.flow_id,
+                seq=pkt.seq, wait=now - pkt.enqueued_at, is_ack=pkt.is_ack,
+            )
+        self.sim.call_later_fast(tx, self._transmission_done, pkt, tx)
         return True
 
-    def _start_transmission(self) -> None:
+    def _start_transmission(self, pkt: "Packet") -> None:
+        """Put ``pkt``, already taken off the FIFO, onto the wire.
+
+        :meth:`recover` restarts a parked queue through here; the two
+        per-packet paths (:meth:`enqueue` on an idle link and
+        :meth:`_transmission_done`) carry the same steps inline.
+        """
         sim = self.sim
-        pkt = self._queue.popleft()
-        size = pkt.size
-        self.queue_bytes -= size
+        now = sim.now
         self._busy = True
-        cache = self._ser_cache
-        tx = cache.get(size)
-        if tx is None:
-            tx = cache[size] = (size * BITS_PER_BYTE) / self._rate
-        self._tx_start = sim.now
+        self._tx_start = now
         self._tx_flow = pkt.flow_id
+        size = pkt.size
+        tx = self._ser_cache.get(size)
+        if tx is None:
+            tx = self._ser_cache[size] = (size * BITS_PER_BYTE) / self._rate
         if self._trace:
             self._tracer.emit(
-                sim.now, "dequeue", port=self.name, flow=pkt.flow_id,
-                seq=pkt.seq, wait=sim.now - pkt.enqueued_at, is_ack=pkt.is_ack,
+                now, "dequeue", port=self.name, flow=pkt.flow_id,
+                seq=pkt.seq, wait=now - pkt.enqueued_at, is_ack=pkt.is_ack,
             )
         sim.call_later_fast(tx, self._transmission_done, pkt, tx)
 
@@ -501,12 +537,29 @@ class Port:
         if self._tx_start is not None:
             stats.busy_time += tx
         # Propagation pipelines: hand off and immediately start the next.
-        self.sim.call_later_fast(self.delay, self.dst.receive, pkt)
-        if self._queue:
-            self._start_transmission()
-        else:
+        sim = self.sim
+        sim.call_later_fast(self._delay, self.dst.receive, pkt)
+        queue = self._queue
+        if not queue:
             self._busy = False
             self._tx_flow = None
+            return
+        # _start_transmission, inline: the transmitter stays busy.
+        pkt = queue.popleft()
+        size = pkt.size
+        self.queue_bytes -= size
+        now = sim.now
+        self._tx_start = now
+        self._tx_flow = pkt.flow_id
+        tx = self._ser_cache.get(size)
+        if tx is None:
+            tx = self._ser_cache[size] = (size * BITS_PER_BYTE) / self._rate
+        if self._trace:
+            self._tracer.emit(
+                now, "dequeue", port=self.name, flow=pkt.flow_id,
+                seq=pkt.seq, wait=now - pkt.enqueued_at, is_ack=pkt.is_ack,
+            )
+        sim.call_later_fast(tx, self._transmission_done, pkt, tx)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self._admin_up else f" DOWN({self._down_mode})"

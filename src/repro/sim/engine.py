@@ -9,15 +9,16 @@ matter for reproducibility and speed:
   fire in scheduling order (a monotonically increasing sequence number is
   part of the heap key).  This makes every run bit-reproducible for a fixed
   seed, which the test suite relies on.
-* **C-speed heap keys.**  Heap entries are plain tuples whose first two
-  elements are ``(time, seq)``.  Because ``seq`` is unique, tuple
+* **C-speed heap keys.**  Heap entries are plain 4-tuples
+  ``(time, seq, fn, args)``.  Because ``seq`` is unique, tuple
   comparison never looks past it, so every ``heappush``/``heappop``
   comparison runs in C instead of calling a Python ``__lt__`` — on large
-  calendars the comparisons are most of the per-event cost.  Two entry
-  shapes share the heap: ``(time, seq, Event)`` for cancellable events
-  and ``(time, seq, fn, args)`` for the no-handle fast path
-  (:meth:`Simulator.call_later_fast`) used by per-packet events that are
-  never cancelled.
+  calendars the comparisons are most of the per-event cost.  Entries for
+  per-packet events, which are never cancelled, carry the handler
+  directly (:meth:`Simulator.call_later_fast`); a cancellable entry
+  carries ``None`` in the handler slot and its :class:`Event` in the
+  argument slot, so the run loop unpacks every entry the same way and
+  tells the two apart with one identity test.
 * **O(1) cancellation, batched sweeps.**  Cancelled events are flagged
   and skipped when popped instead of being removed from the heap (the
   standard lazy-deletion trick).  Retransmission timers are cancelled far
@@ -26,6 +27,12 @@ matter for reproducibility and speed:
   simulator counts live cancellations and compacts the heap in one
   O(n) ``heapify`` when cancelled entries exceed half the calendar
   (past a minimum size), instead of paying per-cancel removal costs.
+  The check runs when a cancellable event is scheduled: only those
+  calls create entries that can be cancelled, so the handle-less fast
+  path skips it.
+* **A plain clock.**  :attr:`Simulator.now` is a slot, not a property:
+  handlers read the clock on nearly every event.  Only the kernel
+  writes it.
 
 Times are ``float`` seconds.  The kernel never rounds: any quantisation
 would distort the sub-microsecond serialisation delays of 1 Gbps links.
@@ -115,14 +122,15 @@ class Simulator:
     1.5
     """
 
-    __slots__ = ("_heap", "_counter", "_now", "_running", "_processed",
+    __slots__ = ("_heap", "_counter", "now", "_running", "_processed",
                  "_stopped", "_n_cancelled", "_profiler", "_cleanup_hooks")
 
     def __init__(self, start: float = 0.0):
-        #: entries are ``(time, seq, Event)`` or ``(time, seq, fn, args)``
+        #: entries are ``(time, seq, fn, args)`` or ``(time, seq, None, Event)``
         self._heap: list[tuple] = []
         self._counter = itertools.count()
-        self._now = float(start)
+        #: current simulation time in seconds; written only by the kernel
+        self.now = float(start)
         self._running = False
         self._stopped = False
         self._processed = 0
@@ -131,11 +139,6 @@ class Simulator:
         self._cleanup_hooks: list[Callable[[], None]] = []
 
     # -- clock ---------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -157,16 +160,16 @@ class Simulator:
         SimulationError
             If ``when`` lies in the simulated past.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={when:.9f}s before now={self._now:.9f}s"
+                f"cannot schedule event at t={when:.9f}s before now={self.now:.9f}s"
             )
         heap = self._heap
         n_cancelled = self._n_cancelled
         if n_cancelled > _SWEEP_MIN_CANCELLED and n_cancelled * 2 > len(heap):
             self._sweep()
         ev = Event(when, next(self._counter), fn, args, self)
-        heappush(heap, (when, ev.seq, ev))
+        heappush(heap, (when, ev.seq, None, ev))
         return ev
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -185,9 +188,9 @@ class Simulator:
         n_cancelled = self._n_cancelled
         if n_cancelled > _SWEEP_MIN_CANCELLED and n_cancelled * 2 > len(heap):
             self._sweep()
-        when = self._now + delay
+        when = self.now + delay
         ev = Event(when, next(self._counter), fn, args, self)
-        heappush(heap, (when, ev.seq, ev))
+        heappush(heap, (when, ev.seq, None, ev))
         return ev
 
     def schedule_fast(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -196,17 +199,14 @@ class Simulator:
         The hot path for events that are never cancelled (packet
         serialisation completions, propagation deliveries): no
         :class:`Event` is allocated, the calendar holds a raw
-        ``(time, seq, fn, args)`` tuple.
+        ``(time, seq, fn, args)`` tuple.  It creates no cancellable
+        entry, so it leaves the sweep check to :meth:`schedule`.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={when:.9f}s before now={self._now:.9f}s"
+                f"cannot schedule event at t={when:.9f}s before now={self.now:.9f}s"
             )
-        heap = self._heap
-        n_cancelled = self._n_cancelled
-        if n_cancelled > _SWEEP_MIN_CANCELLED and n_cancelled * 2 > len(heap):
-            self._sweep()
-        heappush(heap, (when, next(self._counter), fn, args))
+        heappush(self._heap, (when, next(self._counter), fn, args))
 
     def call_later_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`call_later` without a cancellation handle (see
@@ -214,11 +214,7 @@ class Simulator:
         every serialisation completion and propagation delivery."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        heap = self._heap
-        n_cancelled = self._n_cancelled
-        if n_cancelled > _SWEEP_MIN_CANCELLED and n_cancelled * 2 > len(heap):
-            self._sweep()
-        heappush(heap, (self._now + delay, next(self._counter), fn, args))
+        heappush(self._heap, (self.now + delay, next(self._counter), fn, args))
 
     def _sweep(self) -> None:
         """Batch lazy-deletion: drop cancelled entries, re-heapify in place.
@@ -227,7 +223,7 @@ class Simulator:
         reference to the list keeps seeing the compacted calendar.
         """
         heap = self._heap
-        heap[:] = [e for e in heap if len(e) != 3 or not e[2].cancelled]
+        heap[:] = [e for e in heap if e[2] is not None or not e[3].cancelled]
         heapify(heap)
         self._n_cancelled = 0
 
@@ -294,8 +290,9 @@ class Simulator:
         try:
             while heap:
                 entry = pop(heap)
-                if len(entry) == 3:
-                    ev = entry[2]
+                when, _, fn, args = entry
+                if fn is None:  # a cancellable entry: args is its Event
+                    ev = args
                     if ev.cancelled:
                         # Skipped, not run: consumes neither budget nor
                         # clock, and is discarded even beyond ``until``.
@@ -303,10 +300,6 @@ class Simulator:
                         continue
                     fn = ev.fn
                     args = ev.args
-                else:
-                    fn = entry[2]
-                    args = entry[3]
-                when = entry[0]
                 if when > bound:
                     heappush(heap, entry)
                     break
@@ -315,7 +308,7 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (possible event storm)"
                     )
-                self._now = when
+                self.now = when
                 fn(*args)
                 executed += 1
                 if self._stopped:
@@ -326,8 +319,8 @@ class Simulator:
         finally:
             self._processed += executed
             self._running = False
-        if until is not None and not self._stopped and self._now < until:
-            self._now = until
+        if until is not None and not self._stopped and self.now < until:
+            self.now = until
 
     def _run_profiled(self, until: Optional[float], max_events: Optional[int]) -> None:
         """:meth:`run` with per-handler attribution.
@@ -361,17 +354,14 @@ class Simulator:
         try:
             while heap:
                 entry = pop(heap)
-                if len(entry) == 3:
-                    ev = entry[2]
+                when, _, fn, args = entry
+                if fn is None:  # a cancellable entry: args is its Event
+                    ev = args
                     if ev.cancelled:
                         self._n_cancelled -= 1
                         continue
                     fn = ev.fn
                     args = ev.args
-                else:
-                    fn = entry[2]
-                    args = entry[3]
-                when = entry[0]
                 if when > bound:
                     heappush(heap, entry)
                     break
@@ -380,7 +370,7 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (possible event storm)"
                     )
-                self._now = when
+                self.now = when
                 name = getattr(fn, "__qualname__", None) or repr(fn)
                 counts[name] += 1
                 if executed % sample_every == 0:
@@ -401,8 +391,8 @@ class Simulator:
             prof.runs += 1
             self._processed += executed
             self._running = False
-        if until is not None and not self._stopped and self._now < until:
-            self._now = until
+        if until is not None and not self._stopped and self.now < until:
+            self.now = until
 
     def stop(self) -> None:
         """Stop :meth:`run` after the currently executing event returns."""
@@ -416,18 +406,15 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            entry = heappop(heap)
-            if len(entry) == 3:
-                ev = entry[2]
+            when, _, fn, args = heappop(heap)
+            if fn is None:  # a cancellable entry: args is its Event
+                ev = args
                 if ev.cancelled:
                     self._n_cancelled -= 1
                     continue
                 fn = ev.fn
                 args = ev.args
-            else:
-                fn = entry[2]
-                args = entry[3]
-            self._now = entry[0]
+            self.now = when
             fn(*args)
             self._processed += 1
             return True
@@ -436,7 +423,7 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if idle."""
         heap = self._heap
-        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
             heappop(heap)
             self._n_cancelled -= 1
         return heap[0][0] if heap else None

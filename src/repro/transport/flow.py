@@ -28,6 +28,11 @@ class Flow:
     ``deadline`` is *relative* (seconds from ``start_time``), matching the
     paper's "deadline of each short flow is randomly distributed between
     [5ms, 25ms]"; ``None`` means the application exposes no deadline.
+
+    ``n_packets``, the number of MSS-sized data packets (the last may be
+    short), is derived once at construction: both endpoints read it on
+    every packet.  It is an attribute, not a dataclass field, so it
+    takes no part in equality, ``repr`` or ``asdict``.
     """
 
     id: int
@@ -47,11 +52,7 @@ class Flow:
             raise ConfigError(f"flow {self.id}: src == dst == {self.src!r}")
         if self.deadline is not None and self.deadline <= 0:
             raise ConfigError(f"flow {self.id}: deadline must be positive")
-
-    @property
-    def n_packets(self) -> int:
-        """Number of MSS-sized data packets (last may be short)."""
-        return max(1, math.ceil(self.size / self.mss))
+        object.__setattr__(self, "n_packets", max(1, math.ceil(self.size / self.mss)))
 
     @property
     def absolute_deadline(self) -> Optional[float]:
@@ -60,11 +61,12 @@ class Flow:
 
     def payload_of(self, seq: int) -> int:
         """Payload bytes of data packet ``seq`` (0-based)."""
-        if not 0 <= seq < self.n_packets:
+        last = self.n_packets - 1
+        if not 0 <= seq <= last:
             raise TransportError(f"flow {self.id}: seq {seq} out of range")
-        if seq < self.n_packets - 1:
+        if seq < last:
             return self.mss
-        return self.size - (self.n_packets - 1) * self.mss
+        return self.size - last * self.mss
 
 
 @dataclass

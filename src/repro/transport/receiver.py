@@ -54,23 +54,22 @@ class TcpReceiver:
                 # FIN raced ahead of retransmitted data; re-assert our hole.
                 self._send_data_ack(echo=pkt.ecn_marked)
             return
-        self._handle_data(pkt)
-
-    def _handle_data(self, pkt: Packet) -> None:
-        self.stats.packets_received += 1
+        # A data packet.
+        stats = self.stats
+        stats.packets_received += 1
         if pkt.ecn_marked:
-            self.stats.ecn_marks += 1
+            stats.ecn_marks += 1
         seq = pkt.seq
         if seq == self.rcv_nxt:
             delivered = self._advance(seq)
-            self.stats.bytes_delivered += delivered
+            stats.bytes_delivered += delivered
             self.registry.notify_delivery(self.flow, self.sim.now, delivered)
             if self.rcv_nxt >= self.flow.n_packets and not self.finished:
                 self.finished = True
-                self.stats.completed = self.sim.now
-                self.registry.notify_completion(self.stats)
+                stats.completed = self.sim.now
+                self.registry.notify_completion(stats)
         elif seq > self.rcv_nxt:
-            self.stats.out_of_order += 1
+            stats.out_of_order += 1
             self._ooo_buffer.add(seq)
             # Reorder causality for span forensics: when this arrival
             # gap was opened by a path change, the span timeline shows

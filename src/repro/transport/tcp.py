@@ -185,19 +185,19 @@ class TcpSender:
         if pkt.fin:  # FIN-ACK: connection fully closed
             self._close()
             return
-        self._handle_ack(pkt)
-
-    def _handle_ack(self, pkt: Packet) -> None:
-        ack = pkt.seq  # cumulative: next expected data seq
-        if ack > self.n:
-            raise TransportError(f"flow {self.flow.id}: ack {ack} beyond {self.n}")
+        # A cumulative ACK.  This runs once per ACK, so ``done`` is
+        # spelled out as ``snd_una >= n`` here and in the helpers below.
+        ack = pkt.seq  # next expected data seq
+        n = self.n
+        if ack > n:
+            raise TransportError(f"flow {self.flow.id}: ack {ack} beyond {n}")
         self._on_ecn_feedback(pkt)
         if ack > self.snd_una:
             self._on_new_ack(ack)
-        elif not self.done:
+        elif self.snd_una < n:
             self._on_dup_ack()
         self._try_send()
-        if self.done and not self.fin_sent:
+        if self.snd_una >= n and not self.fin_sent:
             self.stats.acked = self.sim.now
             self._send_fin()
 
@@ -207,9 +207,10 @@ class TcpSender:
         self.dupacks = 0
         # RTT sampling (Karn's rule: skip retransmitted segments).
         sample_seq = ack - 1
-        sent_at = self._send_times.pop(sample_seq, None)
-        for s in range(ack - newly, ack - 1):
-            self._send_times.pop(s, None)
+        send_times = self._send_times
+        sent_at = send_times.pop(sample_seq, None)
+        for s in range(ack - newly, sample_seq):
+            send_times.pop(s, None)
         if sent_at is not None and sample_seq not in self._retransmitted:
             self.rto.sample(self.sim.now - sent_at)
 
@@ -225,7 +226,7 @@ class TcpSender:
         else:
             self._grow_window(newly)
 
-        if self.done:
+        if ack >= self.n:
             self._cancel_rto()
         else:
             self._arm_rto()
@@ -268,17 +269,24 @@ class TcpSender:
     def _try_send(self) -> None:
         if not self.established or self.closed:
             return
-        budget = int(self.effective_window) - self.in_flight
-        while budget > 0 and self.snd_nxt < self.n:
-            self._transmit(self.snd_nxt, retransmission=False)
-            self.snd_nxt += 1
+        # effective_window and in_flight, inline: this runs on every ACK.
+        cwnd = self.cwnd
+        max_cwnd = self.max_cwnd
+        seq = self.snd_nxt
+        budget = int(cwnd if cwnd <= max_cwnd else max_cwnd) - (seq - self.snd_una)
+        n = self.n
+        while budget > 0 and seq < n:
+            self._transmit(seq, retransmission=False)
+            seq += 1
+            self.snd_nxt = seq
             budget -= 1
 
     def _transmit(self, seq: int, *, retransmission: bool) -> None:
-        payload = self.flow.payload_of(seq)
+        flow = self.flow
         pkt = Packet(
-            self.flow.id, self.flow.src, self.flow.dst, seq,
-            payload + DEFAULT_HEADER, ecn_capable=self.config.ecn_capable,
+            flow.id, flow.src, flow.dst, seq,
+            flow.payload_of(seq) + DEFAULT_HEADER,
+            ecn_capable=self.config.ecn_capable,
         )
         self.stats.packets_sent += 1
         if retransmission:
@@ -289,7 +297,7 @@ class TcpSender:
             if nic is not None and nic.tracer.enabled:
                 nic.tracer.emit(
                     self.sim.now, "retransmit", node=self.host.name,
-                    flow=self.flow.id, seq=seq,
+                    flow=flow.id, seq=seq,
                 )
         else:
             self._send_times[seq] = self.sim.now

@@ -23,6 +23,11 @@ class FakePort:
         self.rate = rate
 
     @property
+    def _rate(self):
+        # the slot Port.rate validates into; shortest_queue_index reads it
+        return self.rate
+
+    @property
     def queue_bytes(self):
         # tests manipulate queue_length; mirror it in bytes
         return self.queue_length * 1500

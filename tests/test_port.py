@@ -266,3 +266,18 @@ def test_invalid_configs_rejected(sim, sink):
         Port(sim, "p", 1e9, 0.0, sink, buffer_packets=0)
     with pytest.raises(ConfigError):
         Port(sim, "p", 1e9, 0.0, sink, ecn_threshold=0)
+
+
+def test_delay_validated_at_assignment(sim, sink):
+    # A negative delay used to be stored and only surface as a
+    # SimulationError from the first delivery inside run().
+    port = make_port(sim, sink, delay=microseconds(10))
+    for bad in (-1e-6, float("nan")):
+        with pytest.raises(ConfigError):
+            port.delay = bad
+    assert port.delay == microseconds(10)
+    port.delay = microseconds(30)
+    port.enqueue(make_packet(size=1250))  # 10 us on the wire at 1 Gbps
+    sim.run()
+    assert sim.now == pytest.approx(microseconds(40))
+    assert len(sink.received) == 1

@@ -79,7 +79,7 @@ def test_completion_recorded_once():
     completions = []
     reg.subscribe_completion(lambda s: completions.append(s.flow.id))
     rx.handle(data(0))
-    sim._now = 0.5
+    sim.run(until=0.5)  # advance the idle clock
     rx.handle(data(1))
     assert stats.completed == 0.5
     rx.handle(data(1))  # spurious retransmit after completion

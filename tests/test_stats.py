@@ -1,5 +1,11 @@
 """Tests for multi-seed replication and paired comparisons."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,7 @@ from repro.experiments.stats import (
     _ci,
     paired_comparison,
     replicate,
+    student_t_ppf,
 )
 
 SMALL = ScenarioConfig(scheme="tlb", n_paths=4, hosts_per_leaf=12, n_short=6,
@@ -71,3 +78,66 @@ def test_paired_comparison_zero_for_same_scheme():
     ci = paired_comparison(SMALL, "ecmp", "ecmp", seeds=[1, 2], processes=0)
     assert ci.mean == 0.0
     assert ci.half_width == 0.0
+
+
+# -- Student-t quantile -------------------------------------------------------
+
+# Two-sided critical values from standard t tables (df, p, t).
+T_TABLE = [
+    (1, 0.95, 6.313751515), (1, 0.975, 12.70620474), (1, 0.995, 63.65674116),
+    (2, 0.975, 4.302652730), (3, 0.975, 3.182446305), (4, 0.90, 1.533206274),
+    (5, 0.975, 2.570581836), (5, 0.995, 4.032142984), (10, 0.95, 1.812461123),
+    (10, 0.975, 2.228138852), (15, 0.99, 2.602480295), (20, 0.975, 2.085963447),
+    (30, 0.975, 2.042272456), (60, 0.975, 2.000297822), (100, 0.975, 1.983971519),
+    (1000, 0.975, 1.962339081),
+]
+
+
+@pytest.mark.parametrize("df,p,expected", T_TABLE)
+def test_t_ppf_matches_table(df, p, expected):
+    assert student_t_ppf(p, df) == pytest.approx(expected, rel=1e-9)
+    assert student_t_ppf(1 - p, df) == pytest.approx(-expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.5001, 0.6, 0.8, 0.95, 0.999, 1 - 1e-9])
+def test_t_ppf_closed_forms(p):
+    # df = 1 is the Cauchy distribution, tan(pi (p - 1/2)), written in
+    # the tail mass 1 - p so that the reference itself is well conditioned;
+    # df = 2 has an algebraic inverse.
+    assert student_t_ppf(p, 1) == pytest.approx(1 / math.tan(math.pi * (1 - p)), rel=1e-9)
+    assert student_t_ppf(p, 2) == pytest.approx(
+        (2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-9)
+
+
+def test_t_ppf_symmetry_and_validation():
+    assert student_t_ppf(0.5, 7) == 0.0
+    assert student_t_ppf(0.25, 7.5) == -student_t_ppf(0.75, 7.5)
+    for bad_p in (0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            student_t_ppf(bad_p, 3)
+    for bad_df in (0, -1, float("nan")):
+        with pytest.raises(ValueError):
+            student_t_ppf(0.9, bad_df)
+
+
+def test_t_ppf_matches_scipy():
+    sps = pytest.importorskip("scipy.stats")
+    dfs = np.arange(1, 1001)
+    checks = [(dfs, 0.975), (dfs, 0.995)]
+    sparse = np.array([1, 2, 3, 5, 8, 13, 30, 100, 250, 1000])
+    for p in (1e-9, 0.01, 0.2, 0.45, 0.55, 0.9, 0.999, 1 - 1e-9):
+        checks.append((sparse, p))
+    for df_grid, p in checks:
+        expected = sps.t.ppf(p, df_grid)
+        got = np.array([student_t_ppf(p, int(df)) for df in df_grid])
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+
+
+def test_importing_experiments_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.experiments; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
