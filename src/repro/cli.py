@@ -65,6 +65,10 @@ non-volatile instruments are byte-identical across seeded reruns.
 ``--no-cache`` / ``--cache-dir DIR``: with caching on, any scenario
 whose config and code fingerprint match a stored entry is served from
 disk instead of re-simulated, and fresh results are written back.
+
+Bad input (an unknown scheme, a malformed workload or fault spec, a
+missing trace, recording or CDF file) prints ``repro: error: …`` on
+stderr and exits 2 instead of a traceback.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro._version import __version__
+from repro.errors import ConfigError
 
 __all__ = ["main", "build_parser"]
 
@@ -495,13 +500,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     tracer = counters = None
     if args.trace:
-        from repro.obs import CountingTracer, JsonlTracer, TeeTracer
+        from repro.obs.tracers import CountingTracer, JsonlTracer, TeeTracer
 
         counters = CountingTracer()
         tracer = TeeTracer(JsonlTracer(args.trace), counters)
     recorder = None
     if args.record:
-        from repro.obs import FlightRecorder
+        from repro.obs.recorder import FlightRecorder
 
         recorder = FlightRecorder(cadence=args.record_cadence,
                                   max_samples=args.record_max_samples)
@@ -532,7 +537,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{retained} with full hop detail; see `repro explain`)")
     manifest = None
     if args.csv or args.json:
-        from repro.obs import build_manifest
+        from repro.obs.manifest import build_manifest
 
         extra = ({"cache": cache.session_summary()}
                  if cache is not None else None)
@@ -583,7 +588,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"FAILED scheme={s} load={l:g} after {f.attempts} attempt(s):"
               f" {f.error}", file=sys.stderr)
     if args.csv and ok:
-        from repro.obs import build_manifest
+        from repro.obs.manifest import build_manifest
 
         extra = {"sweep": {"schemes": list(args.schemes),
                            "loads": list(args.loads),
@@ -695,7 +700,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.fleet_command == "report":
         return _cmd_fleet_report(args)
     if args.fleet_command in ("status", "workers"):
-        from repro.fleet import fleet_status
+        from repro.fleet.coordinator import fleet_status
         from repro.obs.progress import (
             format_fleet_heartbeat, format_fleet_workers)
 
@@ -731,7 +736,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_run(args: argparse.Namespace, *, resume: bool) -> int:
     from repro.cache import ResultCache
-    from repro.fleet import run_fleet
+    from repro.fleet.coordinator import run_fleet
     from repro.obs.progress import format_fleet_heartbeat
 
     cache = ResultCache(args.cache_dir)
@@ -797,7 +802,7 @@ def _emit_fleet_result(args: argparse.Namespace, result) -> int:
         print(f"fleet: incomplete — resume with"
               f" `repro fleet resume --dir {args.dir}`", file=sys.stderr)
     if args.csv and ok:
-        from repro.obs import build_manifest
+        from repro.obs.manifest import build_manifest
 
         extra = {"sweep": {"schemes": sorted({s for s, _ in grid}),
                            "loads": sorted({l for _, l in grid}),
@@ -829,7 +834,7 @@ def _emit_fleet_result(args: argparse.Namespace, result) -> int:
 
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
-    from repro.obs import format_trace_summary, summarize_trace
+    from repro.obs.summarize import format_trace_summary, summarize_trace
 
     summary = summarize_trace(args.path, flow=args.flow, kind=args.kind)
     print(format_trace_summary(
@@ -853,7 +858,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs import RecordedRun, write_html_report
+    from repro.obs.recorder import RecordedRun
+    from repro.obs.report import write_html_report
 
     run = RecordedRun.load(args.path)
     spans = None
@@ -873,7 +879,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.obs import diff_paths, format_diff
+    from repro.obs.diff import diff_paths, format_diff
 
     deltas, n_regressions = diff_paths(
         args.a, args.b, tolerance=args.tolerance / 100.0)
@@ -1056,7 +1062,17 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit status (2 on bad input)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "schemes":
         return _cmd_schemes()
     if args.command == "workloads":

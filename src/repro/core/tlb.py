@@ -217,7 +217,7 @@ def _tlb_factory(seed: int, net: "Network", switch: "Switch", params: dict) -> T
     elif params:
         config = config.scaled(**params)
     # The model's n is THIS switch's equal-cost degree — the spine count
-    # on a leaf, but e.g. only k/2 aggregation uplinks on a fat-tree edge.
+    # on a leaf, or whatever candidate set a custom fabric installed.
     n_paths = max(
         (len(ports) for ports in switch.routes.values()),
         default=net.config.n_paths,

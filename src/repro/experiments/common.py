@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultSchedule
-from repro.lb.registry import attach_scheme
+from repro.lb.registry import attach_scheme, check_scheme
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.net.asymmetry import LinkOverride, apply_asymmetry
 from repro.net.topology import LeafSpineConfig, Network, build_leaf_spine
@@ -132,6 +132,7 @@ class ScenarioConfig:
     short_threshold: int = KB(100)
 
     def __post_init__(self) -> None:
+        check_scheme(self.scheme)
         if self.workload not in LEGACY_WORKLOADS:
             # Parse eagerly (like the fault spec below) so a malformed
             # scenario — or a missing CDF trace file — fails at config

@@ -363,7 +363,7 @@ def _run_fleet_backend(
             "fleet_dir requires a result cache (pass cache=...): the fleet"
             " fabric stores every result content-addressed so crashed and"
             " resumed runs never recompute")
-    from repro.fleet import run_fleet
+    from repro.fleet.coordinator import run_fleet
     from repro.obs.progress import format_fleet_heartbeat
 
     on_status = None

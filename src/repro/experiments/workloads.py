@@ -154,7 +154,7 @@ def main(
     rows = [workload_row(s, w, m) for (s, w), m in zip(grid, metrics)]
     if csv:
         from repro.metrics.export import write_metrics_csv
-        from repro.obs import build_manifest
+        from repro.obs.manifest import build_manifest
 
         extra = {"workloads": {"schemes": list(schemes),
                                "workloads": list(specs)}}

@@ -9,48 +9,10 @@ result lands in the content-addressed cache — so any sweep survives
 SIGKILLed workers, SIGTERM drains, and machine loss, and resumes with
 zero recomputation (:mod:`~repro.fleet.coordinator`).
 
-Entry points: :func:`run_fleet` (and ``repro fleet run`` on the CLI),
-or ``run_many(..., fleet_dir=...)`` to route an ordinary sweep through
-the fabric.  Mission control — per-worker timelines, straggler cells,
+Entry points: :func:`~repro.fleet.coordinator.run_fleet` (and ``repro
+fleet run`` on the CLI), or ``run_many(..., fleet_dir=...)`` to route an
+ordinary sweep through the fabric.  The package itself imports nothing;
+import each name from the submodule that defines it.  Mission control — per-worker timelines, straggler cells,
 drain-rate ETA, and the ``repro fleet top`` / ``fleet report --html``
 views — lives in :mod:`~repro.fleet.observer`.
 """
-
-from repro.fleet.coordinator import (
-    FleetResult,
-    fleet_status,
-    plan_fleet,
-    run_fleet,
-)
-from repro.fleet.journal import FleetPaths, FleetState, load_state
-from repro.fleet.observer import (
-    FleetObserver,
-    FleetView,
-    fleet_metrics,
-    format_top,
-    render_fleet_report,
-    write_fleet_report,
-)
-from repro.fleet.taxonomy import FATAL_TYPES, is_fatal
-from repro.fleet.watchdog import Watchdog
-from repro.fleet.worker import FleetWorker
-
-__all__ = [
-    "FATAL_TYPES",
-    "FleetObserver",
-    "FleetPaths",
-    "FleetResult",
-    "FleetState",
-    "FleetView",
-    "FleetWorker",
-    "Watchdog",
-    "fleet_metrics",
-    "fleet_status",
-    "format_top",
-    "is_fatal",
-    "load_state",
-    "plan_fleet",
-    "render_fleet_report",
-    "run_fleet",
-    "write_fleet_report",
-]

@@ -32,7 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.switch import Switch
     from repro.net.topology import Network
 
-__all__ = ["SCHEMES", "register_scheme", "attach_scheme", "available_schemes", "build_scheme"]
+__all__ = [
+    "SCHEMES", "register_scheme", "attach_scheme", "available_schemes",
+    "build_scheme", "check_scheme",
+]
 
 #: name -> factory(seed, net, switch, params) -> LoadBalancer
 SCHEMES: dict[str, Callable[..., LoadBalancer]] = {}
@@ -78,17 +81,19 @@ def available_schemes() -> list[str]:
     return sorted(SCHEMES)
 
 
+def check_scheme(name: str) -> None:
+    """Raise :class:`SchemeError` unless ``name`` is a registered scheme."""
+    _ensure_builtins_loaded()
+    if name not in SCHEMES:
+        raise SchemeError(
+            f"unknown scheme {name!r}; available: {', '.join(available_schemes())}")
+
+
 def build_scheme(name: str, net: "Network", switch: "Switch", **params) -> LoadBalancer:
     """Build one balancer instance for one switch."""
-    _ensure_builtins_loaded()
-    try:
-        factory = SCHEMES[name]
-    except KeyError:
-        raise SchemeError(
-            f"unknown scheme {name!r}; available: {', '.join(available_schemes())}"
-        ) from None
+    check_scheme(name)
     seed = derive_seed(net.rngs.root_seed, f"lb:{name}:{switch.name}")
-    return factory(seed, net, switch, dict(params))
+    return SCHEMES[name](seed, net, switch, dict(params))
 
 
 def attach_scheme(net: "Network", name: str, **params) -> dict[str, LoadBalancer]:

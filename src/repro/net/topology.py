@@ -20,10 +20,8 @@ Round-trip propagation delay: a one-way path crosses four links
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import networkx as nx
 
 from repro.errors import TopologyError
 from repro.net.host import Host
@@ -93,9 +91,6 @@ class Network:
         Name-keyed node maps.  ``leaves``/``spines`` are the tier split.
     leaf_of:
         host name → its leaf switch name.
-    graph:
-        An undirected :class:`networkx.Graph` of the topology (used by the
-        generic routing module and by tests asserting path counts).
     """
 
     def __init__(self, sim: Simulator, config: LeafSpineConfig, tracer: Tracer,
@@ -109,7 +104,6 @@ class Network:
         self.leaves: list[Switch] = []
         self.spines: list[Switch] = []
         self.leaf_of: dict[str, str] = {}
-        self.graph = nx.Graph()
         #: (src_node_name, dst_node_name) -> Port, for asymmetry overrides
         self.ports: dict[tuple[str, str], Port] = {}
 
@@ -128,23 +122,11 @@ class Network:
         return [self.hosts[name] for name in sorted(self.hosts, key=_host_index)]
 
     def uplink_ports(self, leaf: Switch) -> list[Port]:
-        """The leaf's ports towards the tier above.
-
-        In a leaf–spine fabric this is one port per spine, in spine
-        order.  In multi-tier fabrics (fat tree) where leaves do not
-        connect to the top tier directly, it is every port from the leaf
-        to another switch, in name order.
-        """
-        direct = [
+        """The leaf's ports towards the spines, in spine order."""
+        return [
             self.ports[(leaf.name, sp.name)]
             for sp in self.spines
             if (leaf.name, sp.name) in self.ports
-        ]
-        if direct:
-            return direct
-        return [
-            port for (src, dst), port in sorted(self.ports.items())
-            if src == leaf.name and dst in self.switches
         ]
 
     def port_between(self, src: str, dst: str) -> Port:
@@ -195,7 +177,6 @@ def _link(
     )
     net.ports[(src_name, dst_name)] = fwd
     net.ports[(dst_name, src_name)] = rev
-    net.graph.add_edge(src_name, dst_name)
     for node, port, neighbour in ((src, fwd, dst_name), (dst, rev, src_name)):
         if isinstance(node, Switch):
             node.add_port(neighbour, port)

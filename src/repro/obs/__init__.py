@@ -3,96 +3,40 @@
 ``repro.obs`` is the instrumentation layer the paper's observational
 argument needs in code form.  The substrate already emits trace points
 (:mod:`repro.sim.trace`); this package turns them into durable artefacts
-and makes whole runs self-describing:
+and makes whole runs self-describing.  The package itself imports
+nothing: import each name from the submodule that defines it, so a run
+loads only the instruments it uses.
 
-* :class:`JsonlTracer` — streams trace records to a JSON-Lines file with
-  bounded buffering (post-mortem analysis, ``repro trace summarize``);
-* :class:`CountingTracer` — near-zero-cost per-(kind, node) counters
-  (enqueue / dequeue / drop / mark / reroute / retransmit);
-* :class:`TeeTracer` — fans one trace stream out to several sinks;
-* :class:`RunTelemetry` — wall-clock profiling of a simulation run
-  (events/sec, sim-time/wall-time ratio, peak memory);
-* :func:`build_manifest` / :func:`write_manifest` — ``manifest.json``
-  beside every export, recording exactly what produced it;
-* :class:`ProgressReporter` — heartbeat + ETA for multi-run sweeps
-  (plus :func:`format_fleet_heartbeat` for multi-worker fleet sweeps);
-* :func:`summarize_trace` — aggregate a JSONL trace back into tables;
-* :class:`FlightRecorder` / :class:`RecordedRun` — bounded in-sim
-  time-series sampling with a q_th decision audit (``repro run
-  --record``, ``repro report``);
-* :func:`render_html_report` — self-contained HTML dashboards;
-* :func:`diff_paths` / :func:`format_diff` — direction-aware metric
-  regression detection (``repro diff``);
-* :class:`SpanBuffer` / :func:`format_explain` — per-flow span
-  forensics with deterministic tail sampling (``repro run --spans``,
-  ``repro explain``);
-* :class:`EngineProfiler` — kernel self-profiling: per-handler event
-  counts and sampled wall time (``repro bench --profile``);
-* :class:`MetricsRegistry` — dependency-free Counter/Gauge/Histogram
-  registry with Prometheus textfile exposition and deterministic
-  canonical-JSON dumps (``metrics.prom`` / ``metrics.json`` beside
-  every export).
+* :mod:`~repro.obs.tracers` — ``JsonlTracer`` streams trace records to
+  a JSON-Lines file with bounded buffering (``repro trace summarize``),
+  ``CountingTracer`` keeps near-zero-cost per-(kind, node) counters,
+  ``TeeTracer`` fans one trace stream out to several sinks;
+* :mod:`~repro.obs.telemetry` — ``RunTelemetry``, wall-clock profiling
+  of a simulation run (events/sec, sim-time/wall-time ratio, peak
+  memory);
+* :mod:`~repro.obs.manifest` — ``build_manifest`` / ``write_manifest``:
+  ``manifest.json`` beside every export, recording exactly what
+  produced it;
+* :mod:`~repro.obs.progress` — ``ProgressReporter``, heartbeat + ETA
+  for multi-run sweeps (plus ``format_fleet_heartbeat`` for
+  multi-worker fleet sweeps);
+* :mod:`~repro.obs.summarize` — ``summarize_trace``, aggregate a JSONL
+  trace back into tables;
+* :mod:`~repro.obs.recorder` — ``FlightRecorder`` / ``RecordedRun``,
+  bounded in-sim time-series sampling with a q_th decision audit
+  (``repro run --record``, ``repro report``);
+* :mod:`~repro.obs.report` — ``render_html_report``, self-contained
+  HTML dashboards;
+* :mod:`~repro.obs.diff` — ``diff_paths`` / ``format_diff``,
+  direction-aware metric regression detection (``repro diff``);
+* :mod:`~repro.obs.spans` — ``SpanBuffer`` / ``format_explain``,
+  per-flow span forensics with deterministic tail sampling (``repro run
+  --spans``, ``repro explain``);
+* :mod:`~repro.obs.profiler` — ``EngineProfiler``, kernel
+  self-profiling: per-handler event counts and sampled wall time
+  (``repro bench --profile``);
+* :mod:`~repro.obs.metrics` — ``MetricsRegistry``, a dependency-free
+  Counter/Gauge/Histogram registry with Prometheus textfile exposition
+  and deterministic canonical-JSON dumps (``metrics.prom`` /
+  ``metrics.json`` beside every export).
 """
-
-from repro.obs.diff import MetricDelta, diff_paths, diff_rows, format_diff, load_rows
-from repro.obs.manifest import MANIFEST_NAME, build_manifest, git_sha, write_manifest
-from repro.obs.metrics import (
-    METRICS_JSON_NAME,
-    METRICS_PROM_NAME,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    parse_prom,
-)
-from repro.obs.profiler import EngineProfiler
-from repro.obs.progress import (
-    ProgressReporter,
-    format_fleet_heartbeat,
-    format_fleet_workers,
-)
-from repro.obs.recorder import FlightRecorder, RecordedRun
-from repro.obs.report import render_html_report, write_html_report
-from repro.obs.spans import SpanBuffer, format_explain, load_spans
-from repro.obs.summarize import TraceSummary, format_trace_summary, summarize_trace
-from repro.obs.telemetry import RunTelemetry
-from repro.obs.tracers import CountingTracer, JsonlTracer, TeeTracer
-
-__all__ = [
-    "CountingTracer",
-    "JsonlTracer",
-    "TeeTracer",
-    "SpanBuffer",
-    "load_spans",
-    "format_explain",
-    "EngineProfiler",
-    "RunTelemetry",
-    "MANIFEST_NAME",
-    "METRICS_JSON_NAME",
-    "METRICS_PROM_NAME",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "parse_prom",
-    "build_manifest",
-    "git_sha",
-    "write_manifest",
-    "ProgressReporter",
-    "format_fleet_heartbeat",
-    "format_fleet_workers",
-    "TraceSummary",
-    "format_trace_summary",
-    "summarize_trace",
-    "FlightRecorder",
-    "RecordedRun",
-    "render_html_report",
-    "write_html_report",
-    "MetricDelta",
-    "load_rows",
-    "diff_rows",
-    "diff_paths",
-    "format_diff",
-]

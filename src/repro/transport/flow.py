@@ -146,7 +146,9 @@ class FlowRegistry:
 
     Observers may subscribe to per-flow delivery progress (``on_delivery``,
     fired with ``(flow, time, nbytes)`` on every in-order byte delivery)
-    and completion (``on_complete``, fired once per flow).
+    and completion (``on_complete``, fired once per flow).  Receivers
+    skip the per-packet delivery and dup-ACK notifications when their
+    observer lists are empty, which is every run without time series.
     """
 
     def __init__(self) -> None:

@@ -63,7 +63,8 @@ class TcpReceiver:
         if seq == self.rcv_nxt:
             delivered = self._advance(seq)
             stats.bytes_delivered += delivered
-            self.registry.notify_delivery(self.flow, self.sim.now, delivered)
+            if self.registry._delivery_observers:
+                self.registry.notify_delivery(self.flow, self.sim.now, delivered)
             if self.rcv_nxt >= self.flow.n_packets and not self.finished:
                 self.finished = True
                 stats.completed = self.sim.now
@@ -104,7 +105,8 @@ class TcpReceiver:
         self.stats.acks_sent += 1
         if self.rcv_nxt == self._last_ack_value:
             self.stats.dup_acks_sent += 1
-            self.registry.notify_dupack(self.flow, self.sim.now)
+            if self.registry._dupack_observers:
+                self.registry.notify_dupack(self.flow, self.sim.now)
         self._last_ack_value = self.rcv_nxt
         self.host.send(ack)
 

@@ -68,7 +68,7 @@ def test_run_command_warns_on_poisson_only_flags(capsys):
 
 
 def test_trace_summarize_command(capsys, tmp_path):
-    from repro.obs import JsonlTracer
+    from repro.obs.tracers import JsonlTracer
 
     path = tmp_path / "t.jsonl"
     with JsonlTracer(path) as t:
@@ -102,12 +102,33 @@ def test_run_command_with_faults(capsys):
     assert "scheme=tlb" in out
 
 
-def test_run_command_rejects_malformed_fault_spec():
-    from repro.errors import FaultError
+def test_run_command_rejects_malformed_fault_spec(capsys):
+    assert main(["run", "--short-flows", "6", "--long-flows", "1",
+                 "--paths", "4", "--faults", "0.1:meteor:leaf0-spine1"]) == 2
+    assert "meteor" in _one_line_error(capsys)
 
-    with pytest.raises(FaultError):
-        main(["run", "--short-flows", "6", "--long-flows", "1",
-              "--paths", "4", "--faults", "0.1:meteor:leaf0-spine1"])
+
+def _one_line_error(capsys) -> str:
+    """The stderr of a command that failed on bad input: one line."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--scheme", "nosuch"], "unknown scheme 'nosuch'"),
+    (["sweep", "--schemes", "nosuch", "--loads", "0.3"], "unknown scheme"),
+    (["run", "--workload", "cdf:file={missing}"], "cannot read CDF file"),
+    (["report", "{missing}"], "does not exist"),
+    (["trace", "summarize", "{missing}"], "does not exist"),
+    (["explain", "{missing}"], "No such file"),
+    (["diff", "{missing}", "{missing}"], "no such export"),
+], ids=["scheme", "sweep-scheme", "cdf-file", "report", "trace", "explain", "diff"])
+def test_bad_input_exits_2_with_one_line_error(argv, message, capsys, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    assert message in _one_line_error(capsys)
 
 
 def test_sweep_command_with_faults_and_retries(capsys, tmp_path):
@@ -497,7 +518,7 @@ def test_run_metrics_json_byte_identical_across_seeded_runs(capsys, tmp_path):
 def _inline_fleet(tmp_path):
     from fleet_helpers import Cell, compute
     from repro.cache import ResultCache
-    from repro.fleet import run_fleet
+    from repro.fleet.coordinator import run_fleet
 
     cells = [Cell(tag=f"c{i}") for i in range(3)]
     cache = ResultCache(tmp_path / "cache", fingerprint="0" * 64)
@@ -592,11 +613,9 @@ def test_run_command_with_scenario_workload(capsys):
     assert "scheme=ecmp" in out
 
 
-def test_run_command_rejects_bad_workload_spec():
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        main(["run", "--workload", "nosuchkind:x=1", "--flows", "8"])
+def test_run_command_rejects_bad_workload_spec(capsys):
+    assert main(["run", "--workload", "nosuchkind:x=1", "--flows", "8"]) == 2
+    assert "nosuchkind" in _one_line_error(capsys)
 
 
 def test_sweep_and_fleet_parsers_accept_workload():

@@ -13,17 +13,12 @@ from fleet_helpers import Cell, calls, compute
 from repro.cache import ResultCache
 from repro.errors import ConfigError, FleetError
 from repro.experiments.runner import TaskError, TaskFailure, run_many
-from repro.fleet import (
-    FleetPaths,
-    Watchdog,
-    fleet_status,
-    is_fatal,
-    plan_fleet,
-    run_fleet,
-)
 from repro.fleet import journal as jn
 from repro.fleet import lease as ln
-from repro.fleet.watchdog import backoff_delay
+from repro.fleet.coordinator import fleet_status, plan_fleet, run_fleet
+from repro.fleet.journal import FleetPaths
+from repro.fleet.taxonomy import is_fatal
+from repro.fleet.watchdog import Watchdog, backoff_delay
 from repro.obs.progress import format_fleet_heartbeat, format_fleet_workers
 
 FP = "0" * 64

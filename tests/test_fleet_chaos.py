@@ -18,8 +18,9 @@ from pathlib import Path
 from fleet_helpers import Cell, calls, compute
 from repro.cache import ResultCache
 from repro.experiments.runner import run_many
-from repro.fleet import FleetPaths, load_state, plan_fleet, run_fleet
 from repro.fleet import journal as jn
+from repro.fleet.coordinator import plan_fleet, run_fleet
+from repro.fleet.journal import FleetPaths, load_state
 
 FP = "0" * 64
 

@@ -9,8 +9,9 @@ guarantee end to end.
 import json
 
 from fleet_helpers import Cell, compute
-from repro.fleet import FleetPaths, run_fleet
 from repro.fleet import journal as jn
+from repro.fleet.coordinator import run_fleet
+from repro.fleet.journal import FleetPaths
 from repro.fleet.observer import (
     FleetObserver,
     fleet_metrics,

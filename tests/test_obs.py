@@ -6,17 +6,11 @@ import json
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.obs import (
-    CountingTracer,
-    JsonlTracer,
-    ProgressReporter,
-    RunTelemetry,
-    TeeTracer,
-    build_manifest,
-    format_trace_summary,
-    summarize_trace,
-    write_manifest,
-)
+from repro.obs.manifest import build_manifest, write_manifest
+from repro.obs.progress import ProgressReporter
+from repro.obs.summarize import format_trace_summary, summarize_trace
+from repro.obs.telemetry import RunTelemetry
+from repro.obs.tracers import CountingTracer, JsonlTracer, TeeTracer
 from repro.obs.telemetry import peak_rss_bytes
 from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, RecordingTracer
@@ -357,8 +351,6 @@ def test_jsonl_tracer_gzip_by_suffix(tmp_path):
     import gzip
     import json
 
-    from repro.obs import JsonlTracer
-
     path = tmp_path / "t.jsonl.gz"
     with JsonlTracer(path) as t:
         t.emit(0.0, "enqueue", port="a", qlen=1)
@@ -372,8 +364,6 @@ def test_jsonl_tracer_gzip_by_suffix(tmp_path):
 
 
 def test_summarize_reads_gzip_and_plain_identically(tmp_path):
-    from repro.obs import JsonlTracer, summarize_trace
-
     events = [(0.0, "enqueue", {"port": "a"}), (0.1, "enqueue", {"port": "b"}),
               (0.2, "drop", {"port": "a"})]
     plain, gz = tmp_path / "t.jsonl", tmp_path / "t.jsonl.gz"
@@ -389,7 +379,6 @@ def test_summarize_reads_gzip_and_plain_identically(tmp_path):
 
 def test_gzip_trace_end_to_end_run(tmp_path):
     from repro.experiments.common import ScenarioConfig, run_scenario
-    from repro.obs import JsonlTracer, summarize_trace
 
     path = tmp_path / "run.jsonl.gz"
     tracer = JsonlTracer(path, kinds={"drop", "reroute"})

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchemeError
 from repro.experiments.common import ScenarioConfig, run_scenario, run_scenario_metrics
 from repro.experiments.report import format_table, fmt
 from repro.experiments.runner import run_many, sweep
@@ -88,6 +88,10 @@ def test_trace_kinds_enable_tracer():
 
 
 def test_config_validation():
+    with pytest.raises(SchemeError, match="unknown scheme 'nosuch'"):
+        ScenarioConfig(scheme="nosuch")
+    with pytest.raises(SchemeError):
+        ScenarioConfig().with_(scheme="nosuch")
     with pytest.raises(ConfigError):
         ScenarioConfig(workload="bogus")
     with pytest.raises(ConfigError):

@@ -133,11 +133,27 @@ def test_t_ppf_matches_scipy():
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
 
 
-def test_importing_experiments_does_not_load_scipy():
+@pytest.fixture(scope="module")
+def modules_after_importing_experiments() -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``import repro.experiments``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.experiments; print('scipy' in sys.modules)"],
+         "import sys, repro.experiments; print('\\n'.join(sys.modules))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("module", [
+    "scipy",
+    "networkx",
+    "repro.fleet.coordinator",
+    "repro.fleet.observer",
+    "repro.obs.report",
+    "repro.obs.spans",
+    "repro.obs.recorder",
+])
+def test_importing_experiments_does_not_load(module, modules_after_importing_experiments):
+    assert "repro.experiments" in modules_after_importing_experiments
+    assert module not in modules_after_importing_experiments

@@ -67,12 +67,18 @@ def test_packet_traverses_fabric(small_fabric):
 
 def test_graph_mirrors_links():
     net = build_two_leaf_fabric(n_paths=3, hosts_per_leaf=2)
-    # 4 host links + 2 leaves * 3 spines = 10 edges
-    assert net.graph.number_of_edges() == 10
-    # 15 equal-cost paths claim: paths h0 -> h2 through distinct spines
-    import networkx as nx
-    paths = list(nx.all_shortest_paths(net.graph, "h0", "h2"))
-    assert len(paths) == 3
+    # 4 host links + 2 leaves * 3 spines = 10 links, each a port pair
+    links = {frozenset(pair) for pair in net.ports}
+    assert len(links) == 10
+    assert all((b, a) in net.ports for a, b in net.ports)
+    # 3 equal-cost paths h0 -> h2, one through each spine
+    paths = set()
+    for up in net.leaves[0].routes["h2"]:
+        (down,) = up.dst.routes["h2"]
+        (last,) = down.dst.routes["h2"]
+        assert last.dst is net.hosts["h2"]
+        paths.add((up.dst.name, down.dst.name))
+    assert paths == {(f"spine{s}", "leaf1") for s in range(3)}
 
 
 def test_fabric_rate_override():
